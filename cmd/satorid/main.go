@@ -99,7 +99,7 @@ func main() {
 	h := loop.Health()
 	fmt.Printf("health: ticks=%d healthy=%v breaker-trips=%d retries=%d\n",
 		h.Ticks, h.Healthy(), h.BreakerTrips, h.Retries)
-	if fi, ok := rdt.InjectorOf(loop.Platform()); ok {
+	if fi, ok := rdt.As[*rdt.FaultInjector](loop.Platform()); ok {
 		c := fi.Counts()
 		fmt.Printf("injected-faults: apply=%d sample=%d nan=%d negative=%d measure=%d resync=%d total=%d\n",
 			c.ApplyErrors, c.SampleErrors, c.SampleNaNs, c.SampleNegatives,
@@ -154,7 +154,6 @@ func buildServer(addr, workloadList, suite string, mixIdx int, policyName string
 	if err != nil {
 		return nil, err
 	}
-	var injector *rdt.FaultInjector
 	if faultSpec != "" {
 		script, err := rdt.ParseFaultScript(faultSpec)
 		if err != nil {
@@ -165,7 +164,6 @@ func buildServer(addr, workloadList, suite string, mixIdx int, policyName string
 		if err != nil {
 			return nil, err
 		}
-		injector, _ = rdt.InjectorOf(platform)
 	}
 
 	loop, err := control.New(control.Options{
@@ -187,7 +185,6 @@ func buildServer(addr, workloadList, suite string, mixIdx int, policyName string
 		Loop:              loop,
 		TickEvery:         tick,
 		MaxTicks:          maxTicks,
-		Injector:          injector,
 		SLOUnhealthyAfter: sloUnhealthy,
 		Logf:              log.Printf,
 	})
@@ -212,15 +209,11 @@ func daemonPolicy(policyName string, clusterK int) (harness.PolicyFactory, error
 }
 
 // policyFor builds the named policy against the platform's live
-// simulator, unwrapping a fault injector first — policies score against
+// simulator, found beneath any fault injector — policies score against
 // the true analytical model; faults perturb only the control/monitor
 // boundary.
 func policyFor(p rdt.Platform, factory harness.PolicyFactory, seed uint64) (policy.Policy, error) {
-	inner := p
-	if fi, ok := rdt.InjectorOf(p); ok {
-		inner = fi.Inner()
-	}
-	sp, ok := inner.(*rdt.SimPlatform)
+	sp, ok := rdt.As[*rdt.SimPlatform](p)
 	if !ok {
 		return nil, fmt.Errorf("satorid: policy %T requires the simulated backend", factory)
 	}

@@ -120,9 +120,11 @@ type Status struct {
 	// (nil when the decision was accepted). The loop keeps running on
 	// the live configuration; Summary counts the rejections.
 	RejectedApply error
-	// ResetErr is a failed periodic baseline re-measurement (nil when
-	// none was due or it succeeded). The previous baselines stay in
-	// force and the refresh is retried at the next boundary.
+	// ResetErr is a failed baseline re-measurement (nil when none was
+	// due or it succeeded). For the periodic refresh the previous
+	// baselines stay in force and the refresh is retried at the next
+	// boundary. For the rebuild a committed membership change still owes
+	// the tick is Degraded, and the next Step tries again.
 	ResetErr error
 	// SampledTick reports that this interval's observation was
 	// extrapolated from phase-stable state (sampled simulation) instead
@@ -140,6 +142,7 @@ type Status struct {
 	// failures still abort Step.
 	SampleErr error
 	// Degraded reports this interval's observation was lost (SampleErr)
+	// or not taken because an owed membership rebuild failed (ResetErr),
 	// and the loop held the installed partition instead of deciding.
 	Degraded bool
 	// SafeFallback reports the consecutive-failure circuit breaker
@@ -195,10 +198,25 @@ func (e *StaleDecisionError) Unwrap() error { return e.Shape }
 // resctrl deployment, whose job set is fixed at construction).
 var ErrChurnUnsupported = errors.New("control: platform backend does not support job membership churn")
 
+// tail is the follow-up work a committed platform change leaves the
+// loop before it may score another interval.
+type tail int
+
+const (
+	tailNone tail = iota
+	// tailBaselines re-measures isolated baselines (a slot's workload
+	// changed).
+	tailBaselines
+	// tailRebuild also rebuilds the policy on the live space (the job
+	// count changed).
+	tailRebuild
+)
+
 // Loop drives one co-location under a policy, one 100 ms interval at a
 // time — the backend-agnostic embodiment of Algorithm 1's outer loop.
 type Loop struct {
 	platform   rdt.Platform
+	churn      rdt.Churner // nil when the backend cannot churn
 	pol        policy.Policy
 	rebuild    func() (policy.Policy, error)
 	tm         metrics.ThroughputMetric
@@ -209,6 +227,10 @@ type Loop struct {
 	resetEvery int
 	pendReset  bool
 	rejected   int
+
+	// owed is the tail of a committed membership change that failed to
+	// settle; the next Step settles it before it samples.
+	owed tail
 
 	// Sampled-simulation state: fast is non-nil only when sampling is
 	// enabled AND the backend has the capability; prevIPS/stable track
@@ -282,8 +304,10 @@ func New(opt Options) (*Loop, error) {
 	if resetEvery <= 0 {
 		resetEvery = 100
 	}
+	churn, _ := rdt.As[rdt.Churner](opt.Platform)
 	l := &Loop{
 		platform:   opt.Platform,
+		churn:      churn,
 		pol:        pol,
 		rebuild:    rebuild,
 		tm:         opt.Throughput.Resolve(),
@@ -303,9 +327,7 @@ func New(opt Options) (*Loop, error) {
 	}
 	l.isolated = iso
 	if opt.Sampling.Enabled {
-		if fs, ok := opt.Platform.(rdt.FastSampler); ok {
-			l.fast = fs
-		}
+		l.fast, _ = rdt.As[rdt.FastSampler](opt.Platform)
 	}
 	return l, nil
 }
@@ -338,12 +360,16 @@ func (l *Loop) SetObjectives(tm metrics.ThroughputMetric, fm metrics.FairnessMet
 	l.tm, l.fm = tm.Resolve(), fm.Resolve()
 }
 
-// Step advances one 100 ms interval: refresh isolated baselines if an
-// equalization boundary was crossed (skipped when churn already
-// refreshed them), sample IPS, score both goals, let the policy decide,
-// and apply the next partition. Rejected applies are surfaced in the
-// status, not swallowed; a stale-shaped decision is a *StaleDecisionError.
+// Step advances one 100 ms interval: settle a rebuild owed by an earlier
+// membership change, refresh isolated baselines if an equalization
+// boundary was crossed (skipped when churn already refreshed them),
+// sample IPS, score both goals, let the policy decide, and apply the
+// next partition. Rejected applies are surfaced in the status, not
+// swallowed; a stale-shaped decision is a *StaleDecisionError.
 func (l *Loop) Step() (Status, error) {
+	if st, ok, err := l.settleOwed(); !ok {
+		return st, err
+	}
 	// Algorithm 1 line 13: re-record isolated baselines every
 	// equalization period. The refresh is scheduled at the start of the
 	// interval after the boundary tick — the same position in the
@@ -411,27 +437,23 @@ func (l *Loop) Step() (Status, error) {
 	}
 	l.tick++
 	// Reject corrupt observations before they reach the metrics or the
-	// policy: a non-finite or negative IPS (a wedged hardware counter, a
-	// torn resctrl read) would silently poison the Welford aggregates and
-	// the proxy model. The tick is flagged, counted, and otherwise
-	// skipped; the current partition stays in force.
-	for _, v := range ips {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			l.badSamples++
-			l.resetStability()
-			// l.pendReset is left pending so the policy still sees the
-			// BaselineReset flag on the next accepted observation.
-			st := Status{
-				Tick: l.tick, Time: float64(l.tick) * TickSeconds,
-				IPS: ips, Isolated: l.isolated,
-				ResetErr:    resetErr,
-				SampledTick: sampled,
-				BadSample:   true,
-				Config:      l.current,
-			}
-			l.noteFailedTick(&st)
-			return st, nil
+	// policy. The tick is flagged, counted, and otherwise skipped; the
+	// current partition stays in force.
+	if !l.validSample(ips) {
+		l.badSamples++
+		l.resetStability()
+		// l.pendReset is left pending so the policy still sees the
+		// BaselineReset flag on the next accepted observation.
+		st := Status{
+			Tick: l.tick, Time: float64(l.tick) * TickSeconds,
+			IPS: ips, Isolated: l.isolated,
+			ResetErr:    resetErr,
+			SampledTick: sampled,
+			BadSample:   true,
+			Config:      l.current,
 		}
+		l.noteFailedTick(&st)
+		return st, nil
 	}
 	l.lastGoodSample = l.tick
 	l.updateStability(ips)
@@ -523,6 +545,51 @@ func (l *Loop) Step() (Status, error) {
 	return st, nil
 }
 
+// validSample reports whether an observation can be scored: one finite,
+// non-negative IPS per job whose baseline is in force. A non-finite or
+// negative IPS (a wedged hardware counter, a torn resctrl read) would
+// silently poison the Welford aggregates and the proxy model; a reading
+// of the wrong length cannot be scored at all.
+func (l *Loop) validSample(ips []float64) bool {
+	if len(ips) != len(l.isolated) {
+		return false
+	}
+	for _, v := range ips {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// settleOwed settles the tail a committed membership change still owes,
+// before an interval is observed. ok reports that the loop may go on to
+// sample. When the tail fails transiently, the interval is spent
+// degraded instead: no sample is taken, the installed partition holds,
+// and the miss counts in ResetErrs; st is that interval's status. A
+// non-transient failure is returned as err.
+func (l *Loop) settleOwed() (st Status, ok bool, err error) {
+	if l.owed == tailNone {
+		return Status{}, true, nil
+	}
+	if err := l.settle(l.owed); err != nil {
+		if !rdt.IsTransient(err) {
+			return Status{}, false, err
+		}
+		l.tick++
+		l.resetErrs++
+		st = Status{
+			Tick: l.tick, Time: float64(l.tick) * TickSeconds,
+			ResetErr: err,
+			Degraded: true,
+			Config:   l.current,
+		}
+		l.noteFailedTick(&st)
+		return st, false, nil
+	}
+	return Status{}, true, nil
+}
+
 // scoreThroughput maps this tick's observation to the normalized
 // throughput score. With latency-critical jobs present, the P99Latency
 // metric scores tail-latency headroom from the SLO tracker; every other
@@ -602,7 +669,7 @@ func (l *Loop) resetStability() {
 // caller advancing exactly IdleHorizon ticks via AdvanceIdle never skips
 // past a baseline refresh or a needed detailed re-validation.
 func (l *Loop) IdleHorizon() int {
-	if l.fast == nil || l.breakerOpen || l.pendReset {
+	if l.fast == nil || l.breakerOpen || l.pendReset || l.owed != tailNone {
 		return 0
 	}
 	if l.stable < l.sampling.StableTicks {
@@ -649,6 +716,14 @@ func (l *Loop) IdleHorizon() int {
 func (l *Loop) AdvanceIdle(n int) (Status, error) {
 	var st Status
 	for i := 0; i < n; i++ {
+		if owedSt, ok, err := l.settleOwed(); !ok {
+			if err != nil {
+				return st, err
+			}
+			st = owedSt
+			l.idleTicks++
+			continue
+		}
 		sampled := false
 		var ips []float64
 		if l.fast != nil {
@@ -684,14 +759,7 @@ func (l *Loop) AdvanceIdle(n int) (Status, error) {
 		}
 		l.tick++
 		l.idleTicks++
-		bad := false
-		for _, v := range ips {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				bad = true
-				break
-			}
-		}
-		if bad {
+		if !l.validSample(ips) {
 			l.badSamples++
 			l.resetStability()
 			st = Status{
@@ -739,14 +807,15 @@ func (l *Loop) AdvanceIdle(n int) (Status, error) {
 // aggregates keep tick-weighted semantics. The jump is deterministic but
 // NOT bit-identical to n lockstep Steps (the per-interval noise terms are
 // not realized); callers that need the exact trajectory use AdvanceIdle.
-// When the platform has no batch capability — or refuses the jump — the
-// call falls back to exact interval-by-interval replay. Callers must
-// respect IdleHorizon, exactly as for AdvanceIdle.
+// When the platform has no batch capability — or refuses the jump, or a
+// membership rebuild is owed — the call falls back to exact
+// interval-by-interval replay. Callers must respect IdleHorizon, exactly
+// as for AdvanceIdle.
 func (l *Loop) SkipIdle(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	if b, ok := l.fast.(rdt.BatchSampler); ok && b.SkipFast(n) {
+	if b, ok := l.fast.(rdt.BatchSampler); ok && l.owed == tailNone && b.SkipFast(n) {
 		l.tick += n
 		l.idleTicks += n
 		l.sampledTicks += n
@@ -783,53 +852,65 @@ func (l *Loop) Run(n int) (Status, error) {
 
 // RefreshBaselines re-measures isolated baselines immediately; the next
 // observation carries BaselineReset and any periodic refresh due at the
-// same boundary is skipped as redundant.
+// same boundary is skipped as redundant. A rebuild owed by an earlier
+// membership change is settled with it.
 func (l *Loop) RefreshBaselines() error {
-	iso, err := l.measureIsolatedRetry()
-	if err != nil {
-		return err
-	}
-	l.isolated = iso
-	l.pendReset = true
-	l.resetStability()
-	return nil
+	return l.settle(max(l.owed, tailBaselines))
 }
 
 // Reinit is the membership-change tail for externally mutated platforms:
-// resync the backend's compiled state, rebuild the policy on the live
-// space, and re-measure baselines (Algorithm 1 line 13, extended to
-// job-count changes). The loop's tick counter and running aggregates
-// carry on. The churn methods below call the same tail (minus the
-// resync, which rdt.Churner implementations already performed).
+// resync the backend's compiled state, then re-measure baselines and
+// rebuild the policy on the live space (Algorithm 1 line 13, extended to
+// job-count changes) as the churn methods below do. The loop's tick
+// counter and running aggregates carry on.
 func (l *Loop) Reinit() error {
 	if err := l.retryTransient(l.platform.Resync); err != nil {
 		return err
 	}
-	return l.rebuildAfterChurn()
+	return l.owe(tailRebuild)
 }
 
-// rebuildAfterChurn rebuilds the policy on the live space and re-records
-// baselines; state is committed only when every step succeeded, so a
-// failed rebuild leaves the previous policy running.
-func (l *Loop) rebuildAfterChurn() error {
-	pol, err := l.rebuild()
-	if err != nil {
-		return err
+// owe records that the platform has committed a change needing tail t,
+// then settles it at once. The change itself stands whatever happens
+// next, so a failure leaves the tail owed and the next Step settles it
+// before it samples. A transient failure is absorbed and counted in
+// ResetErrs; any other failure is returned.
+func (l *Loop) owe(t tail) error {
+	l.owed = max(l.owed, t)
+	l.current = l.platform.Current()
+	// The job set changed: rebuild the SLO tracker against it (the
+	// detector restarts attaining, like a freshly built loop).
+	l.slo = newSLOTracker(l.platform, l.sloOpt)
+	err := l.settle(l.owed)
+	if err != nil && rdt.IsTransient(err) {
+		l.resetErrs++
+		return nil
 	}
+	return err
+}
+
+// settle runs tail t: re-measure the isolated baselines, then, for
+// tailRebuild, rebuild the policy on the live space. State is committed
+// only when every step succeeded, so a failure leaves the loop as it was
+// (with the tail still owed, if it was).
+func (l *Loop) settle(t tail) error {
 	iso, err := l.measureIsolatedRetry()
 	if err != nil {
 		return err
 	}
-	l.pol = pol
+	if t == tailRebuild {
+		pol, err := l.rebuild()
+		if err != nil {
+			return err
+		}
+		l.pol = pol
+		// The rebuilt policy starts its migration counter fresh.
+		l.captureRegrouper()
+	}
 	l.isolated = iso
-	l.current = l.platform.Current()
 	l.pendReset = true
 	l.resetStability()
-	// Membership changed: rebuild the SLO tracker against the new job
-	// set (the detector restarts attaining, like a freshly built loop).
-	l.slo = newSLOTracker(l.platform, l.sloOpt)
-	// The rebuilt policy starts its migration counter fresh.
-	l.captureRegrouper()
+	l.owed = tailNone
 	return nil
 }
 
@@ -845,19 +926,11 @@ func (l *Loop) captureRegrouper() {
 	}
 }
 
-// churner returns the platform's churn capability, or the typed error.
-func (l *Loop) churner() (rdt.Churner, error) {
-	if c, ok := l.platform.(rdt.Churner); ok {
-		return c, nil
-	}
-	return nil, ErrChurnUnsupported
-}
-
 // NumJobs returns the number of co-located jobs (falling back to the
 // space's job count on backends without the churn capability).
 func (l *Loop) NumJobs() int {
-	if c, ok := l.platform.(rdt.Churner); ok {
-		return c.NumJobs()
+	if l.churn != nil {
+		return l.churn.NumJobs()
 	}
 	return l.platform.Space().Jobs
 }
@@ -868,17 +941,13 @@ func (l *Loop) NumJobs() int {
 // BaselineReset on its next observation; SATORI requires no other
 // re-initialization (Sec. III-C).
 func (l *Loop) ReplaceJob(j int, p *sim.Profile) error {
-	c, err := l.churner()
-	if err != nil {
+	if l.churn == nil {
+		return ErrChurnUnsupported
+	}
+	if err := l.churn.ReplaceJob(j, p); err != nil {
 		return err
 	}
-	if err := c.ReplaceJob(j, p); err != nil {
-		return err
-	}
-	// The slot's workload (and so possibly its SLO spec) changed:
-	// rebuild the tracker like any other membership change.
-	l.slo = newSLOTracker(l.platform, l.sloOpt)
-	return l.RefreshBaselines()
+	return l.owe(tailBaselines)
 }
 
 // AddJob admits a new job into the co-location (a fleet-layer arrival).
@@ -886,16 +955,16 @@ func (l *Loop) ReplaceJob(j int, p *sim.Profile) error {
 // is a full membership change: the partition is re-split, baselines are
 // re-measured, and the policy is rebuilt on the new space — the engine
 // re-initialization a job-count change requires (its proxy-model inputs
-// are per-(resource, job) coordinates).
+// are per-(resource, job) coordinates). Once the platform has admitted
+// the job, only a non-transient failure is returned (see owe).
 func (l *Loop) AddJob(p *sim.Profile) error {
-	c, err := l.churner()
-	if err != nil {
+	if l.churn == nil {
+		return ErrChurnUnsupported
+	}
+	if err := l.churn.AddJob(p); err != nil {
 		return err
 	}
-	if err := c.AddJob(p); err != nil {
-		return err
-	}
-	return l.rebuildAfterChurn()
+	return l.owe(tailRebuild)
 }
 
 // RemoveJob evicts the job in slot j (a departure); jobs above j shift
@@ -903,14 +972,13 @@ func (l *Loop) AddJob(p *sim.Profile) error {
 // baselines and rebuilds the policy on the shrunken space. The last job
 // cannot be removed.
 func (l *Loop) RemoveJob(j int) error {
-	c, err := l.churner()
-	if err != nil {
+	if l.churn == nil {
+		return ErrChurnUnsupported
+	}
+	if err := l.churn.RemoveJob(j); err != nil {
 		return err
 	}
-	if err := c.RemoveJob(j); err != nil {
-		return err
-	}
-	return l.rebuildAfterChurn()
+	return l.owe(tailRebuild)
 }
 
 // Summary aggregates the loop so far.

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"fmt"
 	"time"
 
 	"satori/internal/rdt"
@@ -134,6 +135,7 @@ func (l *Loop) retryTransient(op func() error) error {
 }
 
 // measureIsolatedRetry measures isolated baselines with transient-retry.
+// A measurement that does not cover exactly the live jobs is an error.
 func (l *Loop) measureIsolatedRetry() ([]float64, error) {
 	var iso []float64
 	err := l.retryTransient(func() error {
@@ -141,6 +143,9 @@ func (l *Loop) measureIsolatedRetry() ([]float64, error) {
 		iso, err = l.platform.MeasureIsolated()
 		return err
 	})
+	if err == nil && len(iso) != l.NumJobs() {
+		return nil, fmt.Errorf("control: platform measured %d isolated baselines for %d jobs", len(iso), l.NumJobs())
+	}
 	return iso, err
 }
 

@@ -30,7 +30,6 @@ func newFaultLoop(t *testing.T, script rdt.FaultScript, opt Options) (*Loop, *rd
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, _ := rdt.InjectorOf(platform)
 	opt.Platform = platform
 	if opt.Policy == nil {
 		opt.Policy = func(rdt.Platform) (policy.Policy, error) { return policy.Static{}, nil }
@@ -39,7 +38,7 @@ func newFaultLoop(t *testing.T, script rdt.FaultScript, opt Options) (*Loop, *rd
 	if err != nil {
 		t.Fatal(err)
 	}
-	return loop, fi
+	return loop, platform
 }
 
 // With retries disabled, every scripted fault maps 1:1 onto a loop

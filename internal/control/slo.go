@@ -51,7 +51,7 @@ type sloTracker struct {
 // the capability or the specs are absent, which keeps every loop hot
 // path allocation-free for batch-only co-locations.
 func newSLOTracker(platform rdt.Platform, opt SLOOptions) *sloTracker {
-	p, ok := platform.(rdt.SLOProvider)
+	p, ok := rdt.As[rdt.SLOProvider](platform)
 	if !ok {
 		return nil
 	}

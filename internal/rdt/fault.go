@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"satori/internal/resource"
-	"satori/internal/sim"
-	"satori/internal/slo"
 	"satori/internal/stats"
 )
 
@@ -198,9 +196,11 @@ func (c FaultCounts) Total() int {
 // every injection is counted so tests can reconcile loop counters
 // against ground truth.
 //
-// Construct via NewFaultInjector, which preserves the inner platform's
-// optional capabilities (Churner, FastSampler) in the returned value.
-// With a zero-value script the wrapper is a transparent pass-through.
+// The inner platform's optional capabilities (Churner, FastSampler,
+// Grouper, ...) are reached through Unwrap (see As) and pass through
+// un-faulted: the script targets the four core Platform operations, where
+// every control-loop failure path lives. With a zero-value script the
+// wrapper is a transparent pass-through.
 type FaultInjector struct {
 	inner  Platform
 	script FaultScript
@@ -211,13 +211,8 @@ type FaultInjector struct {
 	scripted [numFaultOps]map[int]FaultKind
 }
 
-// NewFaultInjector wraps inner with the script. The returned Platform
-// additionally implements Churner and/or FastSampler exactly when inner
-// does, so capability probes behave as if the injector were not there.
-// Churn and fast-sample calls pass through un-faulted: the script targets
-// the four core Platform operations, where every control-loop failure
-// path lives.
-func NewFaultInjector(inner Platform, script FaultScript) (Platform, error) {
+// NewFaultInjector wraps inner with the script.
+func NewFaultInjector(inner Platform, script FaultScript) (*FaultInjector, error) {
 	if script.Seed == 0 {
 		script.Seed = 1
 	}
@@ -249,51 +244,17 @@ func NewFaultInjector(inner Platform, script FaultScript) (Platform, error) {
 			fi.scripted[f.Op][f.Call+i] = f.Kind
 		}
 	}
-	churner, hasChurn := inner.(Churner)
-	fast, hasFast := inner.(FastSampler)
-	switch {
-	case hasChurn && hasFast:
-		return &churnFastFaultPlatform{churnFaultPlatform{fi, churner}, fast}, nil
-	case hasChurn:
-		return &churnFaultPlatform{fi, churner}, nil
-	case hasFast:
-		return &fastFaultPlatform{fi, fast}, nil
-	default:
-		return fi, nil
-	}
+	return fi, nil
 }
 
-// InjectorOf unwraps the *FaultInjector behind a Platform returned by
-// NewFaultInjector (regardless of which capability wrapper it is), so
-// callers can read Counts. ok is false for un-wrapped platforms.
-func InjectorOf(p Platform) (*FaultInjector, bool) {
-	if c, ok := p.(interface{ injector() *FaultInjector }); ok {
-		return c.injector(), true
-	}
-	return nil, false
-}
-
-func (f *FaultInjector) injector() *FaultInjector { return f }
+// Unwrap returns the wrapped platform, so As finds its capabilities.
+func (f *FaultInjector) Unwrap() Platform { return f.inner }
 
 // Counts returns the faults injected so far.
 func (f *FaultInjector) Counts() FaultCounts { return f.counts }
 
 // Calls returns how many times op has been invoked through the injector.
 func (f *FaultInjector) Calls(op FaultOp) int { return f.calls[op] }
-
-// Inner returns the wrapped platform.
-func (f *FaultInjector) Inner() Platform { return f.inner }
-
-// SLOSpecs forwards the SLOProvider capability (promoted into every
-// capability wrapper, so LC tracking survives fault injection). A nil
-// result — the inner platform lacks the capability or carries no specs
-// — leaves the control loop's SLO tracker disabled, as usual.
-func (f *FaultInjector) SLOSpecs() []*slo.Spec {
-	if p, ok := f.inner.(SLOProvider); ok {
-		return p.SLOSpecs()
-	}
-	return nil
-}
 
 // next advances op's call counter and resolves the fault (if any) firing
 // on this call: scripted faults first, then the seeded random stream.
@@ -416,69 +377,6 @@ func (f *FaultInjector) Resync() error {
 		return Transient(fmt.Errorf("injected resync failure (call %d)", f.calls[OpResync]))
 	}
 	return f.inner.Resync()
-}
-
-// churnFaultPlatform adds pass-through Churner forwarding (churn already
-// resyncs internally; the script's resync faults target explicit Resync
-// calls, keeping counter reconciliation exact).
-type churnFaultPlatform struct {
-	*FaultInjector
-	churner Churner
-}
-
-// AddJob implements Churner.
-func (p *churnFaultPlatform) AddJob(profile *sim.Profile) error { return p.churner.AddJob(profile) }
-
-// RemoveJob implements Churner.
-func (p *churnFaultPlatform) RemoveJob(j int) error { return p.churner.RemoveJob(j) }
-
-// ReplaceJob implements Churner.
-func (p *churnFaultPlatform) ReplaceJob(j int, profile *sim.Profile) error {
-	return p.churner.ReplaceJob(j, profile)
-}
-
-// NumJobs implements Churner.
-func (p *churnFaultPlatform) NumJobs() int { return p.churner.NumJobs() }
-
-// fastFaultPlatform adds pass-through FastSampler forwarding.
-type fastFaultPlatform struct {
-	*FaultInjector
-	fast FastSampler
-}
-
-// SampleFast implements FastSampler.
-func (p *fastFaultPlatform) SampleFast() ([]float64, bool) { return p.fast.SampleFast() }
-
-// FastHorizon implements FastSampler.
-func (p *fastFaultPlatform) FastHorizon() int { return p.fast.FastHorizon() }
-
-// SkipFast forwards BatchSampler when the inner platform has it; refusing
-// otherwise keeps callers on the per-interval path.
-func (p *fastFaultPlatform) SkipFast(n int) bool {
-	if b, ok := p.fast.(BatchSampler); ok {
-		return b.SkipFast(n)
-	}
-	return false
-}
-
-// churnFastFaultPlatform carries both optional capabilities.
-type churnFastFaultPlatform struct {
-	churnFaultPlatform
-	fast FastSampler
-}
-
-// SampleFast implements FastSampler.
-func (p *churnFastFaultPlatform) SampleFast() ([]float64, bool) { return p.fast.SampleFast() }
-
-// FastHorizon implements FastSampler.
-func (p *churnFastFaultPlatform) FastHorizon() int { return p.fast.FastHorizon() }
-
-// SkipFast forwards BatchSampler when the inner platform has it.
-func (p *churnFastFaultPlatform) SkipFast(n int) bool {
-	if b, ok := p.fast.(BatchSampler); ok {
-		return b.SkipFast(n)
-	}
-	return false
 }
 
 // ParseFaultScript parses the compact fault-script DSL used by command

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"satori/internal/resource"
 	"satori/internal/sim"
 	"satori/internal/workloads"
 )
@@ -22,15 +23,11 @@ func newFaultTestPlatform(t *testing.T, script FaultScript) (Platform, *FaultInj
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewFaultInjector(inner, script)
+	fi, err := NewFaultInjector(inner, script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, ok := InjectorOf(p)
-	if !ok {
-		t.Fatal("InjectorOf failed on a freshly wrapped platform")
-	}
-	return p, fi
+	return fi, fi
 }
 
 // Transient marking must survive wrapping and be absent from ordinary
@@ -56,16 +53,40 @@ func TestTransientErrorChain(t *testing.T) {
 	}
 }
 
-// The injector must preserve the inner platform's optional capabilities:
-// a SimPlatform (Churner + FastSampler) stays both; a ResctrlPlatform
-// (neither) stays neither.
+// As must find the inner platform's optional capabilities through the
+// injector: a SimPlatform offers all of them, including the clustering
+// pair (Grouper, CLOSLimiter) the old hand-written wrappers dropped; a
+// ResctrlPlatform offers neither Churner nor FastSampler, and the
+// injector must not invent them.
 func TestFaultInjectorPreservesCapabilities(t *testing.T) {
-	p, _ := newFaultTestPlatform(t, FaultScript{})
-	if _, ok := p.(Churner); !ok {
+	p, fi := newFaultTestPlatform(t, FaultScript{})
+	if _, ok := As[Churner](p); !ok {
 		t.Error("churn capability lost through the injector")
 	}
-	if _, ok := p.(FastSampler); !ok {
+	if _, ok := As[FastSampler](p); !ok {
 		t.Error("fast-sampler capability lost through the injector")
+	}
+	if _, ok := As[BatchSampler](p); !ok {
+		t.Error("batch-sampler capability lost through the injector")
+	}
+	if _, ok := As[SLOProvider](p); !ok {
+		t.Error("SLO capability lost through the injector")
+	}
+	g, ok := As[Grouper](p)
+	if !ok {
+		t.Fatal("grouper capability lost through the injector")
+	}
+	if err := g.SetGrouping(resource.RoundRobinGrouping(3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if sp, _ := As[*SimPlatform](p); len(sp.Plan().Jobs) != 2 {
+		t.Errorf("grouping through the injector compiled %d groups, want 2", len(sp.Plan().Jobs))
+	}
+	if _, ok := As[CLOSLimiter](p); !ok {
+		t.Error("CLOS-limiter capability lost through the injector")
+	}
+	if got, ok := As[*FaultInjector](p); !ok || got != fi {
+		t.Error("As did not return the injector itself")
 	}
 
 	sampler, err := NewTraceSampler([]float64{2e9}, [][]float64{{1e9}})
@@ -81,14 +102,17 @@ func TestFaultInjectorPreservesCapabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := wrapped.(Churner); ok {
+	if _, ok := As[Churner](wrapped); ok {
 		t.Error("injector invented a churn capability the inner platform lacks")
 	}
-	if _, ok := wrapped.(FastSampler); ok {
+	if _, ok := As[FastSampler](wrapped); ok {
 		t.Error("injector invented a fast-sampler capability the inner platform lacks")
 	}
-	if _, ok := InjectorOf(wrapped); !ok {
-		t.Error("InjectorOf failed on the capability-free wrapper")
+	if _, ok := As[*FaultInjector](wrapped); !ok {
+		t.Error("As failed to find the injector over a capability-free platform")
+	}
+	if _, ok := As[*ResctrlPlatform](wrapped); !ok {
+		t.Error("As failed to find the resctrl backend beneath the injector")
 	}
 }
 
@@ -124,8 +148,7 @@ func TestFaultInjectorTransparentWhenIdle(t *testing.T) {
 			}
 		}
 	}
-	fi, _ := InjectorOf(wrapped)
-	if c := fi.Counts(); c.Total() != 0 {
+	if c := wrapped.Counts(); c.Total() != 0 {
 		t.Errorf("idle script injected faults: %+v", c)
 	}
 }

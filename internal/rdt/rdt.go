@@ -169,6 +169,10 @@ type ConfigShapeError = resource.ConfigShapeError
 //     live job set with a *ConfigShapeError (wrapped or direct) rather
 //     than silently misallocating.
 //   - Sample and MeasureIsolated return one value per job, in job order.
+//   - Optional capabilities (Churner, FastSampler, BatchSampler,
+//     SLOProvider, Grouper, CLOSLimiter) are discovered with As. A
+//     wrapper exposes the platform it wraps through an Unwrap() Platform
+//     method instead of forwarding each capability by hand.
 type Platform interface {
 	// Space describes the partitionable resources and job count.
 	Space() *resource.Space
@@ -189,6 +193,25 @@ type Platform interface {
 	// It must be called after anything re-dimensions the space behind
 	// the platform's back; it is idempotent and draws no randomness.
 	Resync() error
+}
+
+// As finds the first platform in p's Unwrap chain that implements T — p
+// itself, then p.Unwrap(), and so on — in the manner of errors.As. T is a
+// capability interface or a concrete backend type such as *SimPlatform.
+// A wrapper that implements T itself shadows the platforms it wraps.
+func As[T any](p Platform) (T, bool) {
+	for p != nil {
+		if t, ok := p.(T); ok {
+			return t, true
+		}
+		u, ok := p.(interface{ Unwrap() Platform })
+		if !ok {
+			break
+		}
+		p = u.Unwrap()
+	}
+	var zero T
+	return zero, false
 }
 
 // Churner is the optional membership-churn capability of a Platform:

@@ -89,12 +89,13 @@ func NewPARTIESPolicy() func(Platform) (Policy, error) {
 // the BO engine searches the reduced cluster space, so a co-location
 // larger than the machine's CLOS budget still fits — one control group
 // per cluster. With k ≥ jobs the behavior is bit-identical to plain
-// SATORI. When the platform implements the Grouper capability (both the
-// simulator and the resctrl backend do), the grouping is pushed down so
-// the hardware layout follows every membership migration.
+// SATORI. When the platform offers the Grouper capability (both the
+// simulator and the resctrl backend do, also beneath a wrapper such as a
+// fault injector), the grouping is pushed down so the hardware layout
+// follows every membership migration.
 func NewClusteredSatoriPolicy(k int, opt EngineOptions) func(Platform) (Policy, error) {
 	return func(p Platform) (Policy, error) {
-		g, _ := p.(rdt.Grouper)
+		g, _ := rdt.As[rdt.Grouper](p)
 		return cluster.New(p.Space(), cluster.Options{
 			K:       k,
 			Inner:   func(space *resource.Space) (Policy, error) { return core.New(space, opt) },
@@ -107,7 +108,7 @@ func NewClusteredSatoriPolicy(k int, opt EngineOptions) func(Platform) (Policy, 
 // classifier, allocation computed directly from the classes (no search).
 func NewLFOCPolicy(k int) func(Platform) (Policy, error) {
 	return func(p Platform) (Policy, error) {
-		g, _ := p.(rdt.Grouper)
+		g, _ := rdt.As[rdt.Grouper](p)
 		return cluster.NewLFOC(p.Space(), cluster.LFOCOptions{K: k, Grouper: g})
 	}
 }
@@ -123,11 +124,11 @@ const (
 )
 
 // NewOraclePolicy builds a brute-force oracle. It requires a simulated
-// platform (oracles read the noise-free model — they are offline,
-// practically-infeasible references).
+// platform, possibly wrapped (oracles read the noise-free model — they
+// are offline, practically-infeasible references).
 func NewOraclePolicy(goal OracleGoal) func(Platform) (Policy, error) {
 	return func(p Platform) (Policy, error) {
-		sp, ok := p.(*rdt.SimPlatform)
+		sp, ok := rdt.As[*rdt.SimPlatform](p)
 		if !ok {
 			return nil, errNotSimulated
 		}
@@ -149,7 +150,7 @@ func NewPolicyByName(name string, seed uint64) (func(Platform) (Policy, error), 
 		return nil, err
 	}
 	return func(p Platform) (Policy, error) {
-		sp, ok := p.(*rdt.SimPlatform)
+		sp, ok := rdt.As[*rdt.SimPlatform](p)
 		if !ok {
 			return nil, errNotSimulated
 		}
